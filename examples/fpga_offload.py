@@ -63,7 +63,7 @@ def main() -> None:
     mapper = Mapper(index)
     first_hit = next(o for o in hw.kernel_run.outcomes if o.mapped)
     positions = index.locate_structure.locate_range(
-        first_hit.fwd_start, first_hit.fwd_end, lf=index.backend.lf
+        first_hit.fwd_start, first_hit.fwd_end, lf_many=index.backend.lf_many
     ) if first_hit.fwd_end > first_hit.fwd_start else []
     print(f"sample device interval resolved on host: query {first_hit.query_id} "
           f"-> positions {sorted(int(p) for p in positions)[:5]}")

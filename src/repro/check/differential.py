@@ -270,8 +270,19 @@ def _build(inputs: dict):
         b=int(inputs.get("b", 15)),
         sf=int(inputs.get("sf", 8)),
         backend=inputs.get("backend", "rrr"),
+        locate=inputs.get("locate", "full"),
+        sa_sample_rate=int(inputs.get("sa_sample_rate", 32)),
     )
     return index
+
+
+def _draw_locate(rng: np.random.Generator, inputs: dict) -> dict:
+    """Add a locate-structure draw: the full SA, or a sampled SA whose
+    rate 1 (every row sampled), 3 (short walks, many through the
+    sentinel row) or 32 (the default) exercises the LF wavefront."""
+    inputs["locate"] = str(rng.choice(["full", "sampled"]))
+    inputs["sa_sample_rate"] = int(rng.choice([1, 3, 32]))
+    return inputs
 
 
 class TextPatternsCheck(Check):
@@ -393,8 +404,15 @@ class BatchCheck(TextPatternsCheck):
 
 
 def _result_fingerprint(r: MappingResult) -> tuple:
+    """Intervals, reason and positions (which must come sorted) of both
+    strands."""
+
+    def positions(h):
+        return None if h.positions is None else tuple(h.positions.tolist())
+
     f, v = r.forward.interval, r.reverse.interval
-    return (f.start, f.end, v.start, v.end, r.reason)
+    return (f.start, f.end, v.start, v.end, r.reason, positions(r.forward),
+            positions(r.reverse))
 
 
 class MapperCheck(TextPatternsCheck):
@@ -403,6 +421,9 @@ class MapperCheck(TextPatternsCheck):
 
     def _corpus(self, rng, profile, text):
         return gen_read_corpus(rng, text, profile.n_reads)
+
+    def generate(self, rng, profile):
+        return _draw_locate(rng, super().generate(rng, profile))
 
     def mismatch(self, inputs):
         index = _build(inputs)
@@ -421,8 +442,9 @@ class MapperCheck(TextPatternsCheck):
                     return (f"invalid read {read!r} unmapped", "mapped")
                 continue
             fwd_want, rc_want = want
-            got_fwd = sorted(int(p) for p in (res.forward.positions if res.forward.positions is not None else []))
-            got_rc = sorted(int(p) for p in (res.reverse.positions if res.reverse.positions is not None else []))
+            # Positions must come back sorted: compare in returned order.
+            got_fwd = [int(p) for p in (res.forward.positions if res.forward.positions is not None else [])]
+            got_rc = [int(p) for p in (res.reverse.positions if res.reverse.positions is not None else [])]
             if got_fwd != fwd_want:
                 return (f"map_read({read!r}) forward at {fwd_want}", f"{got_fwd}")
             if got_rc != rc_want:
@@ -536,7 +558,7 @@ class PoolCheck(TextPatternsCheck):
     def generate(self, rng, profile):
         inputs = super().generate(rng, profile)
         inputs["backend"] = "rrr"
-        return inputs
+        return _draw_locate(rng, inputs)
 
     def mismatch(self, inputs):
         from ..serving.pool import MapperPool
@@ -673,19 +695,7 @@ class CoalesceCheck(TextPatternsCheck):
 
     @staticmethod
     def _full_fingerprint(r: MappingResult) -> tuple:
-        def positions(h):
-            if h.positions is None:
-                return None
-            return tuple(int(p) for p in h.positions)
-
-        return (
-            r.read_id,
-            r.read_name,
-            r.length,
-            _result_fingerprint(r),
-            positions(r.forward),
-            positions(r.reverse),
-        )
+        return (r.read_id, r.read_name, r.length, _result_fingerprint(r))
 
     def mismatch(self, inputs):
         from ..serving.coalescer import CoalescerConfig, RequestCoalescer

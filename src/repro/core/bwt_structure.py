@@ -157,11 +157,13 @@ class BWTStructure:
     def lf_many(self, rows: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`lf` over an array of rows.
 
-        Batches the symbol gather and one :meth:`occ_many` call per
-        distinct symbol instead of a full wavelet descent per row —
-        the kernel behind the batched LF-walk of
-        :meth:`repro.sequence.sampled_sa.SampledSA.locate_range`.
-        Results are identical to the scalar :meth:`lf`.
+        One symbol gather, then one level-wise wavelet descent that
+        ranks every row at its own symbol
+        (:meth:`~repro.core.wavelet_tree.WaveletTree.rank_mixed_many`) —
+        the kernel behind the LF wavefront of
+        :meth:`repro.sequence.sampled_sa.SampledSA.locate_rows`.
+        Results are identical to the scalar :meth:`lf`; the counters are
+        charged for the ranks only, not for a per-row :meth:`access`.
         """
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size == 0:
@@ -173,11 +175,15 @@ class BWTStructure:
             syms[rows == self.dollar_pos] = -1
         else:
             syms = np.array([self.access(int(r)) for r in rows], dtype=np.int64)
-        out = np.zeros(rows.size, dtype=np.int64)
-        for a in range(SIGMA):
-            m = syms == a
-            if np.any(m):
-                out[m] = int(self.C[a]) + self.occ_many(a, rows[m])
+        out = np.zeros(rows.size, dtype=np.int64)  # the sentinel maps to row 0
+        real = np.flatnonzero(syms >= 0)
+        if real.size:
+            r, s = rows[real], syms[real]
+            if self.store_sentinel_in_tree:
+                ranks = self.tree.rank_mixed_many(s + 1, r)
+            else:
+                ranks = self.tree.rank_mixed_many(s, np.where(r > self.dollar_pos, r - 1, r))
+            out[real] = np.asarray(self.C, dtype=np.int64)[s] + ranks
         return out
 
     # -- zero-copy rehydration ----------------------------------------------

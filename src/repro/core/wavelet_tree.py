@@ -300,6 +300,38 @@ class WaveletTree:
             p = p - r1 if side == 0 else r1
         return p[:n_lo], p[n_lo:]
 
+    def rank_mixed_many(self, symbols: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """``rank(symbols[i], positions[i])`` with a symbol per position.
+
+        Level-wise descent: each node issues one ``rank1_many`` over all
+        positions whose symbol's path runs through it, instead of one
+        :meth:`rank_many` descent per distinct symbol (three binary-rank
+        calls for the DNA alphabet instead of up to eight).  Every
+        position is ranked at the same nodes and offsets as in the
+        per-symbol calls, so results and counter charges are identical.
+        """
+        syms = np.asarray(symbols, dtype=np.int64)
+        p = np.array(positions, dtype=np.int64)
+        self.counters.wt_ranks += int(p.size)
+        todo = [(self.root, np.arange(p.size))]
+        while todo:
+            node, idx = todo.pop()
+            if idx.size == 0:
+                continue
+            q = p[idx]
+            if hasattr(node.bits, "rank1_many"):
+                r1 = node.bits.rank1_many(q)
+            else:
+                r1 = np.array([node.bits.rank1(int(x)) for x in q], dtype=np.int64)
+            # Alphabets split in sorted halves: side 1 holds the larger codes.
+            ones = syms[idx] >= node.alphabet1[0]
+            p[idx] = np.where(ones, r1, q - r1)
+            if node.child0 is not None:
+                todo.append((node.child0, idx[~ones]))
+            if node.child1 is not None:
+                todo.append((node.child1, idx[ones]))
+        return p
+
     def access(self, i: int) -> int:
         """Symbol code at position ``i``."""
         if not 0 <= i < self.n:

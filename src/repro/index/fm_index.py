@@ -57,6 +57,7 @@ class RankBackend(Protocol):
     def occ_many(self, symbol: int, positions: np.ndarray) -> np.ndarray: ...
     def count_smaller(self, symbol: int) -> int: ...
     def lf(self, i: int) -> int: ...
+    def lf_many(self, rows: np.ndarray) -> np.ndarray: ...
     def size_in_bytes(self, include_shared: bool = True) -> int: ...
 
 
@@ -197,10 +198,7 @@ class FMIndex:
         if not res.found:
             return np.zeros(0, dtype=np.int64)
         positions = self.locate_structure.locate_range(
-            res.start,
-            res.end,
-            lf=self.backend.lf,
-            lf_many=getattr(self.backend, "lf_many", None),
+            res.start, res.end, lf_many=self.backend.lf_many
         )
         return np.sort(positions)
 

@@ -18,7 +18,7 @@ import numpy as np
 from ..index.fm_index import FMIndex, SearchResult
 from ..sequence.alphabet import AlphabetError, is_valid, reverse_complement
 from ..telemetry import get_telemetry
-from .results import REASON_INVALID_BASE, MappingResult, StrandHit
+from .results import BatchHits, MappingResult
 
 
 class Mapper:
@@ -49,52 +49,99 @@ class Mapper:
                 "build with locate='full' or 'sampled', or pass locate=False"
             )
 
-    def _positions(self, res: SearchResult) -> np.ndarray | None:
-        if not self.locate:
-            return None
-        if not res.found:
-            return np.zeros(0, dtype=np.int64)
-        loc = self.index.locate_structure
-        assert loc is not None
-        return np.sort(loc.locate_range(res.start, res.end, lf=self.index.backend.lf))
-
-    def _invalid_result(
-        self, sequence: str, read_id: int, read_name: str | None
-    ) -> MappingResult:
-        """The N-policy outcome: unmapped, with a reason code."""
-        self.index.counters.reads_invalid += 1
+    def _count_invalid(self, n: int) -> None:
+        """Charge ``n`` reads refused by the N-policy."""
+        if not n:
+            return
+        self.index.counters.reads_invalid += n
         tel = get_telemetry()
         if tel.enabled:
             tel.metrics.counter(
                 "reads_invalid_total",
                 "Reads rejected by the alphabet policy (reported unmapped)",
                 labelnames=("path",),
-            ).inc(path="mapper")
-        empty = SearchResult(start=0, end=0, steps=0)
-        pos = np.zeros(0, dtype=np.int64) if self.locate else None
-        return MappingResult(
-            read_id=read_id,
-            read_name=read_name if read_name is not None else f"read{read_id}",
-            length=len(sequence),
-            forward=StrandHit(empty, pos),
-            reverse=StrandHit(empty, pos),
-            reason=REASON_INVALID_BASE,
+            ).inc(n, path="mapper")
+
+    def _hits(
+        self,
+        lo: np.ndarray,
+        hi: np.ndarray,
+        steps: np.ndarray,
+        lengths: np.ndarray,
+        invalid: np.ndarray,
+    ) -> BatchHits:
+        """Assemble a :class:`BatchHits`, resolving every row of every
+        interval in one :meth:`locate_rows` wavefront when locating."""
+        offsets = positions = None
+        if self.locate:
+            counts = np.maximum(hi - lo, 0).ravel()
+            offsets = np.zeros(counts.size + 1, dtype=np.int64)
+            np.cumsum(counts, out=offsets[1:])
+            total = int(offsets[-1])
+            rows = np.repeat(lo.ravel() - offsets[:-1], counts) + np.arange(total)
+            positions = self.index.locate_structure.locate_rows(
+                rows, self.index.backend.lf_many
+            )
+            if np.any(counts > 1):
+                # Sort within each interval: key = interval * n + position
+                # keeps intervals in order and positions (< n) inside them.
+                n = np.int64(self.index.n_rows)
+                seg = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+                key = seg * n + positions
+                key.sort()
+                positions = key - seg * n
+        return BatchHits(
+            lo=lo,
+            hi=hi,
+            steps=steps,
+            lengths=lengths,
+            invalid=invalid,
+            pos_offsets=offsets,
+            positions=positions,
         )
 
     def map_read(self, sequence: str, read_id: int = 0, read_name: str | None = None) -> MappingResult:
-        """Map one read and its reverse complement."""
+        """Map one read and its reverse complement (scalar search)."""
+        invalid = False
         try:
             fwd = self.index.search(sequence)
             rc = self.index.search(reverse_complement(sequence))
         except AlphabetError:
-            return self._invalid_result(sequence, read_id, read_name)
-        return MappingResult(
-            read_id=read_id,
-            read_name=read_name if read_name is not None else f"read{read_id}",
-            length=len(sequence),
-            forward=StrandHit(fwd, self._positions(fwd)),
-            reverse=StrandHit(rc, self._positions(rc)),
+            invalid = True
+            self._count_invalid(1)
+            fwd = rc = SearchResult(start=0, end=0, steps=0)
+        hits = self._hits(
+            np.array([[fwd.start, rc.start]], dtype=np.int64),
+            np.array([[fwd.end, rc.end]], dtype=np.int64),
+            np.array([[fwd.steps, rc.steps]], dtype=np.int64),
+            np.array([len(sequence)], dtype=np.int64),
+            np.array([invalid]),
         )
+        names = [read_name] if read_name is not None else None
+        return hits.to_results(names, first_id=read_id)[0]
+
+    def map_batch(self, sequences: Sequence[str]) -> BatchHits:
+        """Map many reads with the vectorized search; columnar result.
+
+        Reads outside the alphabet are screened out before the search
+        and come back with empty intervals and the ``invalid`` flag.
+        """
+        seqs = list(sequences)
+        n = len(seqs)
+        lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=n)
+        invalid = ~np.fromiter(map(is_valid, seqs), dtype=bool, count=n)
+        valid = np.flatnonzero(~invalid)
+        fwd = [seqs[i] for i in valid]
+        lo_f, hi_f, st_f = self.index.search_batch(
+            fwd + [reverse_complement(s) for s in fwd]
+        )
+        lo = np.zeros((n, 2), dtype=np.int64)
+        hi = np.zeros((n, 2), dtype=np.int64)
+        steps = np.zeros((n, 2), dtype=np.int64)
+        for arr, flat in ((lo, lo_f), (hi, hi_f), (steps, st_f)):
+            arr[valid] = flat.reshape(2, valid.size).T
+        self._count_invalid(int(n - valid.size))
+        return self._hits(lo, hi, steps, lengths, invalid)
 
     def map_reads(
         self,
@@ -118,40 +165,15 @@ class Mapper:
             ]
         tel = get_telemetry()
         with tel.span("mapper.map_reads", cat="mapper", n_reads=len(sequences)):
-            all_seqs = list(sequences)
-            # Alphabet screen: invalid reads skip the search entirely and
-            # come back unmapped with a reason code (never an exception).
-            valid_idx = [i for i, s in enumerate(all_seqs) if is_valid(s)]
-            seqs = [all_seqs[i] for i in valid_idx]
-            rcs = [reverse_complement(s) for s in seqs]
-            lo, hi, steps = self.index.search_batch(seqs + rcs)
-            n = len(seqs)
-            out: list[MappingResult | None] = [None] * len(all_seqs)
-            for j, i in enumerate(valid_idx):
-                fwd = SearchResult(start=int(lo[j]), end=int(hi[j]), steps=int(steps[j]))
-                rc = SearchResult(
-                    start=int(lo[n + j]), end=int(hi[n + j]), steps=int(steps[n + j])
-                )
-                out[i] = MappingResult(
-                    read_id=i,
-                    read_name=names[i] if names else f"read{i}",
-                    length=len(all_seqs[i]),
-                    forward=StrandHit(fwd, self._positions(fwd)),
-                    reverse=StrandHit(rc, self._positions(rc)),
-                )
-            for i, r in enumerate(out):
-                if r is None:
-                    out[i] = self._invalid_result(
-                        all_seqs[i], i, names[i] if names else None
-                    )
-        results = [r for r in out if r is not None]
+            hits = self.map_batch(sequences)
+            results = hits.to_results(names)
         if tel.enabled:
             m = tel.metrics
             m.counter("mapper_reads_total", "Reads mapped (both strands)").inc(
-                len(all_seqs)
+                len(results)
             )
             m.counter("mapper_mapped_reads_total", "Reads with at least one hit").inc(
-                sum(1 for r in results if r.mapped)
+                int(np.count_nonzero(hits.mapped))
             )
         return results
 

@@ -81,6 +81,111 @@ class MappingResult:
         return max(self.forward.interval.steps, self.reverse.interval.steps)
 
 
+@dataclass(frozen=True)
+class BatchHits:
+    """Columnar outcome of mapping a batch of ``n`` reads, both strands.
+
+    Column 0 of the ``(n, 2)`` arrays is the read, column 1 its reverse
+    complement.  Positions are stored CSR-style over the ``2n`` strand
+    intervals in row-major order: interval ``2 * i + s`` owns
+    ``positions[pos_offsets[2 * i + s] : pos_offsets[2 * i + s + 1]]``,
+    sorted ascending.  Both CSR arrays are ``None`` for counting-only
+    mapping.  This is what pool workers ship back; :meth:`to_results`
+    builds the per-read :class:`MappingResult` objects at the API edge.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    steps: np.ndarray
+    lengths: np.ndarray
+    #: Reads refused by the alphabet policy (reason ``invalid_base``).
+    invalid: np.ndarray
+    pos_offsets: np.ndarray | None = None
+    positions: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return int(self.lengths.size)
+
+    @property
+    def mapped(self) -> np.ndarray:
+        """Per-read flag: either strand matches."""
+        return np.any(self.hi > self.lo, axis=1)
+
+    def __getitem__(self, key: slice) -> "BatchHits":
+        return self.take(np.arange(len(self), dtype=np.int64)[key])
+
+    def take(self, order: np.ndarray) -> "BatchHits":
+        """The reads at indices ``order``, in that order."""
+        order = np.asarray(order, dtype=np.int64)
+        offsets = positions = None
+        if self.pos_offsets is not None:
+            src = (2 * order[:, None] + np.arange(2)).ravel()
+            counts = self.pos_offsets[src + 1] - self.pos_offsets[src]
+            offsets = np.zeros(src.size + 1, dtype=np.int64)
+            np.cumsum(counts, out=offsets[1:])
+            gather = np.repeat(self.pos_offsets[src] - offsets[:-1], counts)
+            positions = self.positions[gather + np.arange(offsets[-1])]
+        return BatchHits(
+            lo=self.lo[order],
+            hi=self.hi[order],
+            steps=self.steps[order],
+            lengths=self.lengths[order],
+            invalid=self.invalid[order],
+            pos_offsets=offsets,
+            positions=positions,
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence["BatchHits"]) -> "BatchHits":
+        """The reads of ``parts`` back to back."""
+        offsets = positions = None
+        if parts and parts[0].pos_offsets is not None:
+            base = np.cumsum([0] + [p.positions.size for p in parts[:-1]])
+            offsets = np.concatenate(
+                [[0]] + [p.pos_offsets[1:] + b for p, b in zip(parts, base)]
+            ).astype(np.int64)
+            positions = np.concatenate([p.positions for p in parts])
+        return cls(
+            lo=np.concatenate([p.lo for p in parts]),
+            hi=np.concatenate([p.hi for p in parts]),
+            steps=np.concatenate([p.steps for p in parts]),
+            lengths=np.concatenate([p.lengths for p in parts]),
+            invalid=np.concatenate([p.invalid for p in parts]),
+            pos_offsets=offsets,
+            positions=positions,
+        )
+
+    def to_results(
+        self, names: Sequence[str] | None = None, first_id: int = 0
+    ) -> list[MappingResult]:
+        """Per-read results; read ``i`` gets id ``first_id + i`` and
+        ``names[i]`` (default ``read<id>``)."""
+        lo, hi, steps = self.lo.tolist(), self.hi.tolist(), self.steps.tolist()
+        lengths, invalid = self.lengths.tolist(), self.invalid.tolist()
+        offs = self.pos_offsets.tolist() if self.pos_offsets is not None else None
+        out = []
+        for i in range(len(lengths)):
+            strands = []
+            for s in (0, 1):
+                pos = None
+                if offs is not None:
+                    pos = self.positions[offs[2 * i + s] : offs[2 * i + s + 1]]
+                iv = SearchResult(start=lo[i][s], end=hi[i][s], steps=steps[i][s])
+                strands.append(StrandHit(iv, pos))
+            rid = first_id + i
+            out.append(
+                MappingResult(
+                    read_id=rid,
+                    read_name=names[i] if names else f"read{rid}",
+                    length=lengths[i],
+                    forward=strands[0],
+                    reverse=strands[1],
+                    reason=REASON_INVALID_BASE if invalid[i] else None,
+                )
+            )
+        return out
+
+
 def mapping_ratio(results: Sequence[MappingResult]) -> float:
     """Fraction of reads with at least one hit (Fig. 7's x-axis)."""
     if not results:

@@ -35,6 +35,12 @@ class FullSA:
             raise IndexError("row range out of bounds")
         return self.sa[start:end].copy()
 
+    def locate_rows(self, rows: np.ndarray, lf_many=None) -> np.ndarray:
+        """Text positions for an arbitrary row array: one gather."""
+        rows = np.asarray(rows, dtype=np.int64)
+        _check_rows(rows, self.sa.size)
+        return self.sa[rows]
+
     def size_in_bytes(self) -> int:
         return self.sa.nbytes
 
@@ -58,7 +64,8 @@ class SampledSA:
         The full suffix array (consumed at build time; only rows where
         ``row % k == 0`` are retained).
     k:
-        Sampling rate; locate costs at most ``k - 1`` LF steps.
+        Sampling rate: every ``k``-th *row* keeps its SA entry, so a
+        locate walks about ``k`` LF steps on average (:meth:`locate_rows`).
     """
 
     def __init__(self, sa: np.ndarray, k: int = 32):
@@ -80,6 +87,9 @@ class SampledSA:
         suffix starting at ``p - 1`` (indices wrap through the sentinel),
         so after ``s`` steps landing on a sampled row holding position
         ``q``, the answer is ``q + s`` (mod the text+sentinel length).
+
+        This row-at-a-time walk is the differential oracle for
+        :meth:`locate_rows`; query paths use the wavefront.
         """
         if not 0 <= row < self.n_rows:
             raise IndexError(f"row {row} out of range [0, {self.n_rows})")
@@ -90,31 +100,50 @@ class SampledSA:
         pos = int(self.samples[row // self.k]) + steps
         return pos % self.n_rows
 
-    def locate_range(self, start: int, end: int, lf, lf_many=None) -> np.ndarray:
-        """Text positions for rows ``[start, end)``.
+    def locate_range(self, start: int, end: int, lf=None, lf_many=None) -> np.ndarray:
+        """Text positions for rows ``[start, end)``: :meth:`locate_rows`
+        over ``arange(start, end)``.
 
-        With ``lf_many`` (a vectorized LF kernel such as
-        ``BWTStructure.lf_many``) all rows in the interval walk toward
-        their sampled ancestors *together*: each iteration advances only
-        the still-unsampled rows in one batched LF call, so an interval
-        of ``m`` occurrences costs at most ``k - 1`` batch steps instead
-        of ``m`` independent scalar walks.  Without it, the scalar
-        per-row path is used (and remains the differential oracle).
+        Pass the backend's vectorized ``lf_many``; a scalar ``lf`` alone
+        is lifted to a row-array callable, so both drive the same walk.
         """
         if not 0 <= start <= end <= self.n_rows:
             raise IndexError("row range out of bounds")
         if lf_many is None:
-            return np.array(
-                [self.locate(r, lf) for r in range(start, end)], dtype=np.int64
-            )
-        rows = np.arange(start, end, dtype=np.int64)
+            if lf is None:
+                raise TypeError("locate_range needs lf_many (or a scalar lf)")
+            lf_many = _lift_scalar_lf(lf)
+        return self.locate_rows(np.arange(start, end, dtype=np.int64), lf_many)
+
+    def locate_rows(self, rows: np.ndarray, lf_many) -> np.ndarray:
+        """Text positions for an arbitrary row array — one LF wavefront.
+
+        Every unsampled row walks toward a sampled ancestor *together*:
+        each iteration is one ``lf_many`` call over the rows still
+        walking, and rows drop out as they land on a sample.  The call
+        count is the longest single walk among ``rows``, however many
+        rows or intervals they come from.  The sample is taken by row
+        (``row % k == 0``), so that walk is ``k`` steps on average but
+        not bounded by ``k - 1``; it always ends, at the latest at row 0
+        (the sentinel suffix).  Positions come back in input-row order.
+        """
+        rows = np.array(rows, dtype=np.int64)
+        _check_rows(rows, self.n_rows)
+        k = self.k
         steps = np.zeros(rows.size, dtype=np.int64)
-        active = rows % self.k != 0
-        while np.any(active):
-            rows[active] = lf_many(rows[active])
-            steps[active] += 1
-            active = rows % self.k != 0
-        pos = self.samples[rows // self.k].astype(np.int64) + steps
+        live = np.flatnonzero(rows % k)
+        cur = rows[live]
+        walked = 0
+        while live.size:
+            cur = lf_many(cur)
+            walked += 1
+            landed = cur % k == 0
+            if landed.any():
+                rows[live[landed]] = cur[landed]
+                steps[live[landed]] = walked
+                keep = ~landed
+                live, cur = live[keep], cur[keep]
+        pos = self.samples[rows // k].astype(np.int64) + steps
         return pos % self.n_rows
 
     def size_in_bytes(self) -> int:
@@ -131,3 +160,18 @@ class SampledSA:
         self.n_rows = int(meta["n_rows"])
         self.samples = arrays["samples"]
         return self
+
+
+def _check_rows(rows: np.ndarray, n_rows: int) -> None:
+    if rows.size and (int(rows.min()) < 0 or int(rows.max()) >= n_rows):
+        raise IndexError(f"row out of range [0, {n_rows})")
+
+
+def _lift_scalar_lf(lf):
+    """A row-array LF callable from a scalar one (for backends or tests
+    that only have the scalar map)."""
+
+    def lf_many(rows: np.ndarray) -> np.ndarray:
+        return np.array([lf(int(r)) for r in rows], dtype=np.int64)
+
+    return lf_many

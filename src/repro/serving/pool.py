@@ -27,12 +27,17 @@ import numpy as np
 from ..core.counters import CounterScope, OpCounters
 from ..index.fm_index import FMIndex
 from ..mapper.mapper import Mapper
-from ..mapper.results import MappingResult
+from ..mapper.results import BatchHits, MappingResult
 from ..telemetry import get_telemetry
 from .shared import FlatFileBlock, attach_index, publish_index, release_attachment
 
 _READY_TIMEOUT = 120.0
 _LIVENESS_POLL_SECONDS = 0.2
+_STOP_DEADLINE_SECONDS = 30.0
+#: How long survivors get to take their stop sentinel once a worker of
+#: the cohort is already dead (it may have died holding the task queue's
+#: reader lock, so a survivor can block on it forever).
+_DEAD_PEER_GRACE_SECONDS = 0.5
 
 
 class _Stop:
@@ -72,7 +77,7 @@ def _pool_worker(worker_id: int, generation: int, spec: dict, task_q, result_q) 
 
     Tasks: ``(task_id, reads, locate, ship_results)``.  Replies:
     ``("ready", worker_id, attach_seconds, None)`` once at startup, then
-    ``("done", task_id, payload, None)`` or
+    ``("done", task_id, (mapped, counter_delta, BatchHits | None), None)`` or
     ``("error", task_id, None, message)`` per task.  Stop sentinels from
     an older generation are dropped, not obeyed.
     """
@@ -96,9 +101,9 @@ def _pool_worker(worker_id: int, generation: int, spec: dict, task_q, result_q) 
             try:
                 mapper = Mapper(index, locate=locate)
                 with CounterScope(counters) as scope:
-                    results = mapper.map_reads(reads)
-                mapped = sum(1 for r in results if r.mapped)
-                payload = (mapped, scope.delta, results if ship_results else None)
+                    hits = mapper.map_batch(reads)
+                mapped = int(np.count_nonzero(hits.mapped))
+                payload = (mapped, scope.delta, hits if ship_results else None)
                 result_q.put(("done", task_id, payload, None))
             except Exception as exc:
                 result_q.put(("error", task_id, None, f"{type(exc).__name__}: {exc}"))
@@ -224,14 +229,19 @@ class MapperPool:
     def _stop_workers(self) -> None:
         for _ in self._procs:
             self._task_q.put(_Stop(self._generation))
-        deadline = time.monotonic() + 30.0
+        # With a dead peer the survivors may never reach their sentinel
+        # (see _DEAD_PEER_GRACE_SECONDS): give them a short grace, then
+        # terminate them instead of waiting out the full deadline.
+        dead_peer = any(not p.is_alive() for p in self._procs)
+        wait = _DEAD_PEER_GRACE_SECONDS if dead_peer else _STOP_DEADLINE_SECONDS
+        deadline = time.monotonic() + wait
         for p in self._procs:
-            p.join(timeout=max(0.1, deadline - time.monotonic()))
+            p.join(timeout=max(0.0, deadline - time.monotonic()))
         self._terminate()
 
     def _terminate(self) -> None:
         for p in self._procs:
-            if p.is_alive():  # pragma: no cover - stuck worker
+            if p.is_alive():
                 p.terminate()
                 p.join(timeout=5.0)
 
@@ -369,8 +379,10 @@ class MapperPool:
     def map_reads(self, reads: Sequence[str], locate: bool = False) -> list[MappingResult]:
         """Map ``reads`` across the pool and return per-read results.
 
-        Results come back in input order with input-relative ``read_id``s
-        (workers number reads within their shard; the pool renumbers).
+        Results come back in input order with input-relative ``read_id``s.
+        Workers reply with columnar :class:`BatchHits`; the shards are
+        interleaved back into input order with array ops and turned into
+        results once, here.
         """
         if self._closed:
             raise RuntimeError("pool is closed")
@@ -379,36 +391,24 @@ class MapperPool:
             return []
         shards = self._shard(reads)
         replies = self._submit(shards, locate, ship=True)
-        out: list[MappingResult | None] = [None] * len(reads)
-        for shard_idx, (shard, payload) in enumerate(zip(shards, replies.values())):
-            _, _, results = payload
-            if len(results) != len(shard):
+        parts = [hits for _, _, hits in replies.values()]
+        for shard_idx, (shard, hits) in enumerate(zip(shards, parts)):
+            if len(hits) != len(shard):
                 raise RuntimeError(
-                    f"pool shard {shard_idx} returned {len(results)} results "
+                    f"pool shard {shard_idx} returned {len(hits)} results "
                     f"for {len(shard)} reads"
                 )
-            for j, res in enumerate(results):
-                orig = shard_idx + j * self.workers  # inverse of reads[i::workers]
-                out[orig] = MappingResult(
-                    read_id=orig,
-                    read_name=f"read{orig}",
-                    length=res.length,
-                    forward=res.forward,
-                    reverse=res.reverse,
-                    reason=res.reason,
-                )
-        missing = [i for i, r in enumerate(out) if r is None]
-        if missing:
-            # Never silently truncate: a shorter result list desyncs every
-            # downstream read_id-based demux (coalescer, router, web tier).
-            raise RuntimeError(
-                f"pool returned {len(reads) - len(missing)} results for "
-                f"{len(reads)} reads; missing read indices {missing[:8]}"
-            )
+        # Read i went to shard i % workers at slot i // workers.
+        sizes = np.array([len(shard) for shard in shards], dtype=np.int64)
+        first = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        orig = np.arange(len(reads), dtype=np.int64)
+        merged = BatchHits.concat(parts).take(
+            first[orig % self.workers] + orig // self.workers
+        )
         get_telemetry().metrics.counter(
             "mapper_pool_tasks_total", "Read batches served by mapper pools"
         ).inc()
-        return out
+        return merged.to_results()
 
     # -- introspection -----------------------------------------------------
 

@@ -10,7 +10,6 @@ from repro.check import PROFILES, SelfCheck, get_check
 from repro.check.differential import ALL_CHECKS, CHECKS_BY_NAME
 from repro.index import fm_index
 from repro.mapper import mapper as mapper_mod
-from repro.mapper.results import MappingResult, StrandHit
 from repro.telemetry import Telemetry, get_telemetry, set_telemetry
 
 
@@ -66,17 +65,12 @@ def _reintroduce_empty_pattern_bug(monkeypatch):
 def _reintroduce_n_crash_bug(monkeypatch):
     """The seed crash: no alphabet screen, AlphabetError escapes the mapper."""
     monkeypatch.setattr(mapper_mod, "is_valid", lambda s: True)
+    orig = mapper_mod.Mapper.map_read
 
     def no_catch(self, sequence, read_id=0, read_name=None):
-        fwd = self.index.search(sequence)
-        rc = self.index.search(mapper_mod.reverse_complement(sequence))
-        return MappingResult(
-            read_id=read_id,
-            read_name=read_name if read_name is not None else f"read{read_id}",
-            length=len(sequence),
-            forward=StrandHit(fwd, self._positions(fwd)),
-            reverse=StrandHit(rc, self._positions(rc)),
-        )
+        # Search outside the mapper's guard first: an N-read raises here.
+        self.index.search(sequence)
+        return orig(self, sequence, read_id, read_name)
 
     monkeypatch.setattr(mapper_mod.Mapper, "map_read", no_catch)
 
