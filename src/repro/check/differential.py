@@ -673,6 +673,8 @@ class CoalesceCheck(TextPatternsCheck):
     ``read_id``/``read_name``, invalid (``N``-base) reads, and empty
     patterns.  A randomized ``max_batch_reads`` exercises the chunk
     boundaries (requests split across batches, giant lone requests).
+    Merging must also happen: when two adjacent non-empty requests fit
+    in one batch, fewer batches than non-empty requests may run.
     """
 
     name = "coalesce"
@@ -711,6 +713,17 @@ class CoalesceCheck(TextPatternsCheck):
             ),
         )
         merged = coalescer.map_many(requests)
+        sizes = [len(reads) for reads in requests if reads]
+        max_batch = coalescer.config.max_batch_reads
+        batches = coalescer.stats()["batches_total"]
+        if batches >= len(sizes) and any(
+            a + b <= max_batch for a, b in zip(sizes, sizes[1:])
+        ):
+            return (
+                f"fewer than {len(sizes)} batches for requests of sizes "
+                f"{sizes} under max_batch_reads={max_batch}",
+                f"{batches} batches (requests were never merged)",
+            )
         if len(merged) != len(independent):
             return (f"{len(independent)} request results", f"{len(merged)}")
         for i, (alone, shared) in enumerate(zip(independent, merged)):

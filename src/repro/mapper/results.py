@@ -10,6 +10,7 @@ rendering for interoperability demos).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
@@ -193,13 +194,53 @@ def mapping_ratio(results: Sequence[MappingResult]) -> float:
     return sum(1 for r in results if r.mapped) / len(results)
 
 
-def write_hits_tsv(results: Iterable[MappingResult], fh: IO[str]) -> int:
+def renumber(results: Sequence, shift: int) -> list:
+    """``results`` with every ``read_id`` moved by ``shift``.
+
+    This is how a slice of one batch becomes what an independent call
+    over the same reads returns (the coalescer's demux, ``shift`` < 0)
+    and how per-batch results get stream-global ids (the streaming
+    mappers, ``shift`` > 0).  A :class:`MappingResult` keeps its default
+    ``read<id>`` name in step with the id; any other frozen result
+    dataclass keyed by ``read_id`` (the shard router's
+    :class:`~repro.index.multiref.MultiRefMapping`) only moves its id.
+    """
+    if shift == 0:
+        return list(results)
+    out: list = []
+    for r in results:
+        rid = r.read_id + shift
+        if isinstance(r, MappingResult):
+            out.append(
+                MappingResult(
+                    read_id=rid,
+                    read_name=f"read{rid}",
+                    length=r.length,
+                    forward=r.forward,
+                    reverse=r.reverse,
+                    reason=r.reason,
+                )
+            )
+        else:
+            out.append(dataclasses.replace(r, read_id=rid))
+    return out
+
+
+#: Column header of the hits TSV.
+TSV_HEADER = "read\tlength\tfwd_count\trc_count\tfwd_positions\trc_positions\n"
+
+
+def write_hits_tsv(
+    results: Iterable[MappingResult], fh: IO[str], header: bool = True
+) -> int:
     """Write one row per read: name, strand counts, and positions.
 
     Returns the number of rows written.  This is the primary download of
-    the web workflow.
+    the web workflow.  Streaming writers emit :data:`TSV_HEADER` once and
+    then call this with ``header=False`` per batch.
     """
-    fh.write("read\tlength\tfwd_count\trc_count\tfwd_positions\trc_positions\n")
+    if header:
+        fh.write(TSV_HEADER)
     rows = 0
     for r in results:
         fpos = (

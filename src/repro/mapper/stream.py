@@ -20,7 +20,7 @@ from ..core.counters import CounterScope
 from ..index.fm_index import FMIndex
 from ..telemetry import correlate, get_telemetry
 from .mapper import Mapper
-from .results import MappingResult
+from .results import TSV_HEADER, MappingResult, renumber, write_hits_tsv
 
 
 @dataclass
@@ -83,37 +83,20 @@ def map_stream(
 
 def _map_stream_batch(tel, mapper: Mapper, batch: list[str], offset: int,
                       batch_index: int) -> list[MappingResult]:
-    """One stream batch under its correlation id and span."""
+    """One stream batch under its correlation id and span, renumbered to
+    the global stream offset."""
     if not tel.enabled:
-        return _map_offset(mapper, batch, offset)
+        return renumber(mapper.map_reads(batch), offset)
     with correlate(batch=batch_index):
         with tel.span(
             "mapper.stream_batch", cat="mapper",
             batch_index=batch_index, n_reads=len(batch),
         ):
-            results = _map_offset(mapper, batch, offset)
+            results = renumber(mapper.map_reads(batch), offset)
     tel.metrics.counter(
         "mapper_stream_batches_total", "Batches through the streaming mapper"
     ).inc()
     return results
-
-
-def _map_offset(mapper: Mapper, batch: list[str], offset: int) -> list[MappingResult]:
-    """Map a batch, renumbering read ids to the global stream offset."""
-    results = mapper.map_reads(batch)
-    if offset == 0:
-        return results
-    return [
-        MappingResult(
-            read_id=r.read_id + offset,
-            read_name=f"read{r.read_id + offset}",
-            length=r.length,
-            forward=r.forward,
-            reverse=r.reverse,
-            reason=r.reason,
-        )
-        for r in results
-    ]
 
 
 def map_stream_coalesced(
@@ -149,19 +132,7 @@ def map_stream_coalesced(
         tel.metrics.counter(
             "mapper_stream_batches_total", "Batches through the streaming mapper"
         ).inc()
-        if off == 0:
-            return results
-        return [
-            MappingResult(
-                read_id=r.read_id + off,
-                read_name=f"read{r.read_id + off}",
-                length=r.length,
-                forward=r.forward,
-                reverse=r.reverse,
-                reason=r.reason,
-            )
-            for r in results
-        ]
+        return renumber(results, off)
 
     try:
         for read in reads:
@@ -203,32 +174,14 @@ def map_fastq_to_tsv(
     """
     summary = StreamSummary()
     counters = index.counters
-    out.write("read\tlength\tfwd_count\trc_count\tfwd_positions\trc_positions\n")
+    out.write(TSV_HEADER)
     t0 = time.perf_counter()
     with CounterScope(counters) as scope:
         for results in map_stream(index, reads, batch_size=batch_size, locate=locate):
             summary.n_batches += 1
             summary.n_reads += len(results)
             summary.n_mapped += sum(1 for r in results if r.mapped)
-            _write_rows(results, out)
+            write_hits_tsv(results, out, header=False)
     summary.wall_seconds = time.perf_counter() - t0
     summary.op_counts = scope.delta
     return summary
-
-
-def _write_rows(results: list[MappingResult], out: IO[str]) -> None:
-    for r in results:
-        fpos = (
-            ",".join(map(str, r.forward.positions.tolist()))
-            if r.forward.positions is not None and r.forward.positions.size
-            else "."
-        )
-        rpos = (
-            ",".join(map(str, r.reverse.positions.tolist()))
-            if r.reverse.positions is not None and r.reverse.positions.size
-            else "."
-        )
-        out.write(
-            f"{r.read_name}\t{r.length}\t{r.forward.count}\t{r.reverse.count}"
-            f"\t{fpos}\t{rpos}\n"
-        )

@@ -18,12 +18,13 @@ package provides the serving primitives the flat container
 * :mod:`repro.serving.coalescer` — :class:`RequestCoalescer`, a
   deadline-bounded tenant-fair micro-batcher that merges concurrent
   small requests into shared kernel batches, and
-  :class:`MappingService`, a served index behind one;
+  :class:`MappingService`, the one served-mapping service: a coalescer
+  (with its bypass, fallback rung, stats and lifecycle) over either a
+  single index or a shard router;
 * :mod:`repro.serving.router` — :class:`ShardCatalog` +
   :class:`ShardRouter`, the sharded multi-genome tier: N named
-  references, LRU activation under a memory budget, scatter-gather
-  fan-out with stable cross-shard hit ordering, and
-  :class:`RouterMappingService`, a shard catalog behind a coalescer.
+  references, LRU activation under a memory budget, and scatter-gather
+  fan-out with stable cross-shard hit ordering.
 """
 
 from .coalescer import (
@@ -39,7 +40,6 @@ from .executor import BacklogFull, BoundedExecutor
 from .pool import MapperPool, PoolBatchOutcome
 from .router import (
     RouterError,
-    RouterMappingService,
     Shard,
     ShardCatalog,
     ShardRouter,
@@ -66,7 +66,6 @@ __all__ = [
     "PoolBatchOutcome",
     "RequestCoalescer",
     "RouterError",
-    "RouterMappingService",
     "Shard",
     "ShardCatalog",
     "ShardRouter",

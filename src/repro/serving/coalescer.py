@@ -27,8 +27,7 @@ batch.
 Demultiplexing is **bit-identical**: merged results are sliced back per
 request and renumbered exactly as an independent ``map_reads`` call
 would have numbered them, so coalescing is invisible to callers (the
-differential self-check pair ``coalesce`` and the CI parity step enforce
-this).
+differential self-check ``coalesce`` enforces this).
 
 When a merged dispatch fails (a pool worker died, the device path
 raised), the coalescer **falls back per request** through ``fallback`` —
@@ -39,14 +38,13 @@ to independent execution instead of failing every rider.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from ..mapper.results import MappingResult
+from ..mapper.results import MappingResult, renumber
 from ..telemetry import get_telemetry
 
 #: Batch-size histogram buckets (reads per merged batch).
@@ -166,33 +164,6 @@ class CoalescedRequest:
     def _fail(self, exc: BaseException) -> None:
         self._error = exc
         self._event.set()
-
-
-def _renumber(results: Sequence, offset: int) -> list:
-    """Slice-local renumbering: what independent execution would produce.
-
-    Handles :class:`MappingResult` (single-index dispatch) and any other
-    frozen result dataclass keyed only by ``read_id`` — e.g. the shard
-    router's :class:`~repro.index.multiref.MultiRefMapping`.
-    """
-    if offset == 0:
-        return list(results)
-    out: list = []
-    for r in results:
-        if isinstance(r, MappingResult):
-            out.append(
-                MappingResult(
-                    read_id=r.read_id - offset,
-                    read_name=f"read{r.read_id - offset}",
-                    length=r.length,
-                    forward=r.forward,
-                    reverse=r.reverse,
-                    reason=r.reason,
-                )
-            )
-        else:
-            out.append(dataclasses.replace(r, read_id=r.read_id - offset))
-    return out
 
 
 class RequestCoalescer:
@@ -448,7 +419,7 @@ class RequestCoalescer:
             offset = 0
             for req in batch:
                 req._complete(
-                    _renumber(results[offset : offset + len(req.reads)], offset)
+                    renumber(results[offset : offset + len(req.reads)], -offset)
                 )
                 offset += len(req.reads)
         except Exception as exc:
@@ -566,34 +537,30 @@ class RequestCoalescer:
 
 
 class MappingService:
-    """A served index plus the coalescer that batches requests onto it.
+    """One served mapping target plus the coalescer that batches requests
+    onto it — the object the web tier's ``POST /map`` handler talks to.
 
-    This is the object the web tier's ``POST /map`` endpoint talks to:
-    one published index (optionally behind a shared-memory
-    :class:`~repro.serving.pool.MapperPool`), an in-process CPU mapper as
-    the fallback rung, and a :class:`RequestCoalescer` merging concurrent
-    requests into shared kernel batches.
+    ``target`` is either
 
-    Parameters
-    ----------
-    index:
-        The query index every request maps against.
-    pool_workers:
-        ``> 0`` routes merged batches through a shared-memory
-        ``MapperPool`` with that many worker processes; ``0`` dispatches
-        through the in-process mapper (still coalesced).
-    locate:
-        Resolve SA intervals to positions (the web results contract).
-    coalesce:
-        ``False`` bypasses merging entirely (each request dispatches
-        alone) — the ablation/bench control, and ``serve --no-coalesce``.
-    config:
-        Coalescer flush policy and admission bounds.
+    * a query index (``serve --map-index``): merged batches dispatch
+      through a shared-memory :class:`~repro.serving.pool.MapperPool`
+      (``pool_workers > 0``) or the in-process mapper, which is also the
+      per-request fallback rung; or
+    * a :class:`~repro.serving.router.ShardRouter` (``serve --catalog``):
+      merged batches fan out across the whole catalog, and a failed batch
+      retries each request through the router alone.  A request naming a
+      shard subset dispatches alone (different subsets cannot share a
+      batch).
+
+    ``coalesce=False`` bypasses merging (each request dispatches alone,
+    through the same fallback rung) — the ablation/bench control, and
+    ``serve --no-coalesce``.  ``pool_workers``, ``locate`` and
+    ``start_method`` apply to an index target only.
     """
 
     def __init__(
         self,
-        index,
+        target,
         *,
         pool_workers: int = 0,
         locate: bool = True,
@@ -601,29 +568,34 @@ class MappingService:
         config: CoalescerConfig | None = None,
         start_method: str | None = None,
     ):
-        from ..mapper.mapper import Mapper
+        from .router import ShardRouter
 
-        self.index = index
-        self.locate = bool(locate)
         self.coalesce = bool(coalesce)
-        self._mapper = Mapper(index, locate=self.locate)
+        self.locate = bool(locate)
         self.pool = None
-        if pool_workers > 0:
-            from .pool import MapperPool
-
-            self.pool = MapperPool(
-                index, workers=pool_workers, start_method=start_method
-            )
-            dispatch: Dispatch = lambda reads: self.pool.map_reads(
-                reads, locate=self.locate
-            )
+        if isinstance(target, ShardRouter):
+            self.index, self.router = None, target
+            dispatch: Dispatch = target.map_reads
+            fallback: Dispatch | None = None
         else:
-            dispatch = self._mapper.map_reads
+            from ..mapper.mapper import Mapper
+
+            self.index, self.router = target, None
+            dispatch = fallback = Mapper(target, locate=self.locate).map_reads
+            if pool_workers > 0:
+                from .pool import MapperPool
+
+                self.pool = MapperPool(
+                    target, workers=pool_workers, start_method=start_method
+                )
+                dispatch = lambda reads: self.pool.map_reads(
+                    reads, locate=self.locate
+                )
         self.coalescer = RequestCoalescer(
             dispatch,
-            fallback=self._mapper.map_reads,
+            fallback=fallback,
             config=config,
-            name="mapping-service",
+            name="mapping-service" if self.router is None else "router-service",
         )
         self._closed = False
 
@@ -632,14 +604,20 @@ class MappingService:
         reads: Sequence[str],
         tenant: str = "default",
         timeout: float | None = 60.0,
+        shards: Sequence[str] | None = None,
     ) -> CoalescedRequest:
         """Map one request; blocks until its (possibly shared) batch ran.
 
+        ``shards`` restricts a catalog target to the named shards.
         Returns the completed handle so callers can read wait/degraded
         bookkeeping next to the results.
         """
         if self._closed:
-            raise CoalescerClosed("mapping service is closed")
+            raise CoalescerClosed(f"{self.coalescer.name} is closed")
+        if shards is not None:
+            req = CoalescedRequest(list(reads), str(tenant), deadline=0.0)
+            req._complete(self.router.map_reads(req.reads, shards=shards))
+            return req
         if not self.coalesce:
             # Bypass path: dispatch alone, but keep the same fallback rung.
             req = CoalescedRequest(list(reads), str(tenant), deadline=0.0)
@@ -657,6 +635,14 @@ class MappingService:
         return req
 
     def stats(self) -> dict:
+        """The ``/healthz`` document: the coalescer block for an index
+        target, the router block (with the coalescer nested) for a
+        catalog."""
+        if self.router is not None:
+            doc = self.router.stats()
+            doc["coalescer"] = self.coalescer.stats()
+            doc["coalesce"] = self.coalesce
+            return doc
         doc = self.coalescer.stats()
         doc["coalesce"] = self.coalesce
         doc["pool_workers"] = self.pool.workers if self.pool is not None else 0
@@ -670,6 +656,8 @@ class MappingService:
         self.coalescer.close()
         if self.pool is not None:
             self.pool.close()
+        if self.router is not None:
+            self.router.catalog.close()
 
     def __enter__(self) -> "MappingService":
         return self

@@ -19,9 +19,9 @@ memory at once.  This module adds the missing tier:
   same sequences, which makes the monolithic multi-reference index a
   bit-exact oracle for the sharded path (the ``router`` differential
   self-check enforces this).
-* :class:`RouterMappingService` puts a
-  :class:`~repro.serving.coalescer.RequestCoalescer` in front of the
-  router so concurrent small requests share fan-out batches; demux is
+* :class:`~repro.serving.coalescer.MappingService` over a
+  :class:`ShardRouter` puts the request coalescer in front of the router
+  so concurrent small requests share fan-out batches; demux is
   bit-identical to per-request ``ShardRouter.map_reads``.
 
 Per-shard health (state, worker liveness, queue depth, degraded flag,
@@ -41,6 +41,7 @@ from typing import Sequence
 
 from ..index.multiref import MultiRefMapping, ReferenceHit
 from ..telemetry import get_telemetry
+from .coalescer import MappingService
 
 #: Shard lifecycle states.
 SHARD_INACTIVE = "inactive"
@@ -569,64 +570,13 @@ class ShardRouter:
         return doc
 
 
-class RouterMappingService:
-    """A served shard catalog behind a request coalescer.
+class RouterMappingService(MappingService):
+    """Old name of :class:`~repro.serving.coalescer.MappingService` over a
+    :class:`ShardRouter`; it adds nothing.
 
-    The web tier's ``POST /map?catalog=...`` path: concurrent requests
-    coalesce into shared fan-out batches through
-    :meth:`ShardRouter.map_reads`; demultiplexed per-request results are
-    bit-identical to an independent ``map_reads`` of the same reads.
-    Whole-catalog fan-out only — per-request shard subsets bypass the
-    coalescer (different subsets cannot share a batch).
+    A subclass rather than an alias so that wrapping this name's
+    ``map_request`` (the perfbench tracer does) does not wrap
+    ``MappingService.map_request`` a second time.  Construct
+    ``MappingService(router)`` instead; the name goes with the next
+    benchmark change.
     """
-
-    def __init__(self, router: ShardRouter, *, coalesce: bool = True, config=None):
-        from .coalescer import RequestCoalescer
-
-        self.router = router
-        self.coalesce = bool(coalesce)
-        self.coalescer = RequestCoalescer(
-            lambda reads: router.map_reads(reads),
-            config=config,
-            name="router-service",
-        )
-        self._closed = False
-
-    def map_request(
-        self,
-        reads: Sequence[str],
-        tenant: str = "default",
-        timeout: float | None = 60.0,
-        shards: Sequence[str] | None = None,
-    ):
-        """Map one request through the (possibly shared) fan-out batch."""
-        from .coalescer import CoalescedRequest, CoalescerClosed
-
-        if self._closed:
-            raise CoalescerClosed("router service is closed")
-        if not self.coalesce or shards is not None:
-            req = CoalescedRequest(list(reads), str(tenant), deadline=0.0)
-            req._complete(self.router.map_reads(req.reads, shards=shards))
-            return req
-        req = self.coalescer.submit(reads, tenant=tenant)
-        req.result(timeout=timeout)
-        return req
-
-    def stats(self) -> dict:
-        doc = self.router.stats()
-        doc["coalescer"] = self.coalescer.stats()
-        doc["coalesce"] = self.coalesce
-        return doc
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self.coalescer.close()
-        self.router.catalog.close()
-
-    def __enter__(self) -> "RouterMappingService":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

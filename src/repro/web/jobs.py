@@ -175,13 +175,6 @@ class JobManager:
         concurrently and at most ``job_backlog`` wait queued; a
         submission beyond both raises
         :class:`~repro.serving.executor.BacklogFull`.
-    mapping_service:
-        Optional :class:`~repro.serving.coalescer.MappingService` — a
-        preloaded served index behind a request coalescer.  Jobs still
-        build per-upload indexes; the service is the shared-index fast
-        path (``POST /map``) that merges concurrent small requests into
-        shared kernel batches.  Owned by the manager: ``shutdown`` closes
-        it after the job executor drains.
     """
 
     def __init__(
@@ -191,7 +184,6 @@ class JobManager:
         retry_policy: RetryPolicy | None = None,
         job_workers: int = 2,
         job_backlog: int = 8,
-        mapping_service=None,
     ):
         self._jobs: dict[int, Job] = {}
         self._ids = itertools.count(1)
@@ -202,7 +194,6 @@ class JobManager:
         self.executor = BoundedExecutor(
             workers=job_workers, backlog=job_backlog, name="web-jobs"
         )
-        self.mapping_service = mapping_service
         #: Health snapshot of the device used by the most recent FPGA job
         #: (what ``GET /healthz`` reports).
         self.last_device_health: dict | None = None
@@ -229,11 +220,8 @@ class JobManager:
         }
 
     def shutdown(self, wait: bool = True) -> None:
-        """Stop the background executor (queued jobs are drained first),
-        then the mapping service's coalescer and pool."""
+        """Stop the background executor (queued jobs are drained first)."""
         self.executor.shutdown(wait=wait)
-        if self.mapping_service is not None:
-            self.mapping_service.close()
 
     def submit(
         self,

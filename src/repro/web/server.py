@@ -13,9 +13,13 @@ offline, so this is a dependency-free WSGI app with the same surface:
 * ``GET /jobs`` — JSON list of jobs;
 * ``GET /jobs/<id>`` — JSON status with the three-step timing breakdown;
 * ``GET /jobs/<id>/results`` — the hits TSV download;
-* ``POST /map`` — map reads against the server's preloaded index (the
-  coalesced fast path: concurrent requests share merged kernel batches;
-  requires a :class:`~repro.serving.coalescer.MappingService`);
+* ``POST /map`` — map reads through a served
+  :class:`~repro.serving.coalescer.MappingService` (concurrent requests
+  share merged kernel batches): the preloaded index (``serve
+  --map-index``), or with ``?catalog[=a,b]`` the shard catalog (``serve
+  --catalog``).  One handler serves both — ``?catalog`` only picks the
+  service and the row renderer.  Catalog rows carry per-reference hits
+  and have no TSV form, so ``"format": "tsv"`` with ``?catalog`` is 400;
 * ``GET /health`` — liveness probe;
 * ``GET /healthz`` — readiness: device health, queue depth, job counts;
 * ``GET /metrics`` — Prometheus text exposition of the telemetry registry.
@@ -29,13 +33,20 @@ from __future__ import annotations
 
 import base64
 import gzip
+import io
 import json
 import re
 from typing import Callable, Iterable
 
 from ..faults import FaultPlan, RetryPolicy
-from ..serving.coalescer import CoalescerClosed, CoalescerFull
+from ..serving.coalescer import (
+    CoalescerClosed,
+    CoalescerConfig,
+    CoalescerFull,
+    MappingService,
+)
 from ..serving.executor import BacklogFull
+from ..serving.router import ShardCatalog, ShardRouter, UnknownShardError
 from ..telemetry import Telemetry, set_telemetry
 from .jobs import JobManager, JobPolicy
 
@@ -66,7 +77,13 @@ and the execution device, and download the mapped positions.</p>
 
 
 class WebAppError(ValueError):
-    """Client errors mapped to HTTP 400."""
+    """Client errors, answered with HTTP ``status``."""
+
+    status = 400
+
+
+class PayloadTooLarge(WebAppError):
+    status = 413
 
 
 def _maybe_gunzip_b64(payload: dict, key: str) -> str | None:
@@ -83,6 +100,38 @@ def _maybe_gunzip_b64(payload: dict, key: str) -> str | None:
         except Exception as exc:
             raise WebAppError(f"field {gz_key!r} is not valid gzip+base64: {exc}") from exc
     return None
+
+
+def _json_object(body: bytes) -> dict:
+    try:
+        payload = json.loads(body.decode("utf-8"))
+    except json.JSONDecodeError as exc:
+        raise WebAppError(f"invalid JSON body: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise WebAppError("JSON body must be an object")
+    return payload
+
+
+def _index_row(r) -> dict:
+    return {
+        "read": r.read_name,
+        "length": r.length,
+        "mapped": r.mapped,
+        "fwd_count": r.forward.count,
+        "rc_count": r.reverse.count,
+        "reason": r.reason,
+    }
+
+
+def _catalog_row(m) -> dict:
+    return {
+        "read": f"read{m.read_id}",
+        "n_hits": len(m.hits),
+        "hits": [
+            {"ref": h.name, "position": h.position, "strand": h.strand}
+            for h in m.hits
+        ],
+    }
 
 
 def parse_multipart(body: bytes, content_type: str) -> dict[str, str]:
@@ -128,6 +177,11 @@ class BWaveRApp:
     ``max_body_bytes`` caps uploads — oversized requests get HTTP 413
     without the body ever being read.
 
+    ``mapping_service`` (the served index, ``POST /map``) and
+    ``router_service`` (the served shard catalog, ``POST /map?catalog``)
+    are :class:`~repro.serving.coalescer.MappingService` instances; the
+    app owns them and :meth:`close` closes them.
+
     ``telemetry`` is the :class:`~repro.telemetry.Telemetry` instance the
     app serves on ``/metrics``.  The default creates an enabled instance
     and installs it process-wide (:func:`~repro.telemetry.set_telemetry`)
@@ -158,17 +212,18 @@ class BWaveRApp:
             retry_policy=retry_policy,
             job_workers=job_workers,
             job_backlog=job_backlog,
-            mapping_service=mapping_service,
         )
-        #: Sharded multi-genome tier (``POST /map?catalog=...``): a
-        #: :class:`~repro.serving.router.RouterMappingService` or None.
+        self.mapping_service = mapping_service
         self.router_service = router_service
         self.background_jobs = background_jobs
         self.max_body_bytes = int(max_body_bytes)
 
-    @property
-    def mapping_service(self):
-        return self.jobs.mapping_service
+    def close(self) -> None:
+        """Drain the job executor, then close the served services."""
+        self.jobs.shutdown()
+        for service in (self.mapping_service, self.router_service):
+            if service is not None:
+                service.close()
 
     # -- WSGI entry ---------------------------------------------------------
 
@@ -176,7 +231,7 @@ class BWaveRApp:
         try:
             status, headers, body = self._route(environ)
         except WebAppError as exc:
-            status, headers, body = self._json(400, {"error": str(exc)})
+            status, headers, body = self._json(exc.status, {"error": str(exc)})
         except Exception as exc:  # pragma: no cover - defensive 500
             status, headers, body = self._json(
                 500, {"error": f"{type(exc).__name__}: {exc}"}
@@ -296,8 +351,27 @@ class BWaveRApp:
             },
         )
 
+    def _read_body(self, environ: dict) -> bytes:
+        """The request body, refused (413) before a byte is read when the
+        declared length exceeds ``max_body_bytes``."""
+        declared = environ.get("CONTENT_LENGTH") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # A negative length would pass the cap and read to EOF.
+            raise WebAppError(f"invalid Content-Length {declared!r}")
+        if length > self.max_body_bytes:
+            raise PayloadTooLarge(
+                f"request body of {length} B exceeds the "
+                f"{self.max_body_bytes} B limit"
+            )
+        return environ["wsgi.input"].read(length) if length else b""
+
     def _map(self, environ: dict) -> tuple[str, list, bytes]:
-        """Map reads against the served index through the coalescer.
+        """Map reads through the served index or, with ``?catalog``, the
+        served shard catalog.
 
         JSON body: ``reads`` (list of sequences) or ``reads_fastq``
         (FASTQ text, optionally ``reads_fastq_gzip_b64``), optional
@@ -306,54 +380,38 @@ class BWaveRApp:
         in bounded pieces and rows are written per returned batch, so a
         large read set never materializes as result objects at once.
 
-        With a ``?catalog`` query parameter the request routes through
-        the sharded multi-genome tier instead: ``?catalog`` (or
-        ``?catalog=all``) fans out across every shard, ``?catalog=a,b``
-        restricts to the named shards; results carry per-reference hits.
+        ``?catalog`` (or ``?catalog=all``) fans out across every shard,
+        ``?catalog=a,b`` restricts to the named shards; results carry
+        per-reference hits, in JSON only.
         """
         from urllib.parse import parse_qs
 
-        query = parse_qs(
-            environ.get("QUERY_STRING", ""), keep_blank_values=True
-        )
-        catalog_q = query.get("catalog")
-        if catalog_q is not None:
-            return self._map_catalog(environ, catalog_q[0])
-        service = self.mapping_service
+        from ..io.fastq import read_fastq_str
+
+        query = parse_qs(environ.get("QUERY_STRING", ""), keep_blank_values=True)
+        catalog = query.get("catalog", [None])[0]
+        if catalog is None:
+            service, missing = self.mapping_service, (
+                "no served index: start the server with --map-index to "
+                "enable POST /map"
+            )
+        else:
+            service, missing = self.router_service, (
+                "no served catalog: start the server with --catalog to "
+                "enable POST /map?catalog=..."
+            )
         if service is None:
-            return self._json(
-                404,
-                {
-                    "error": "no served index: start the server with "
-                    "--map-index to enable POST /map"
-                },
-            )
-        try:
-            length = int(environ.get("CONTENT_LENGTH") or 0)
-        except ValueError:
-            length = 0
-        if length > self.max_body_bytes:
-            return self._json(
-                413,
-                {
-                    "error": f"request body of {length} B exceeds the "
-                    f"{self.max_body_bytes} B limit"
-                },
-            )
-        body = environ["wsgi.input"].read(length) if length else b""
-        ctype = environ.get("CONTENT_TYPE", "")
-        if not ctype.startswith("application/json"):
+            return self._json(404, {"error": missing})
+        body = self._read_body(environ)
+        if not environ.get("CONTENT_TYPE", "").startswith("application/json"):
             raise WebAppError("POST /map takes an application/json body")
-        try:
-            payload = json.loads(body.decode("utf-8"))
-        except json.JSONDecodeError as exc:
-            raise WebAppError(f"invalid JSON body: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise WebAppError("JSON body must be an object")
+        payload = _json_object(body)
         tenant = str(payload.get("tenant", "default"))
         fmt = payload.get("format", "json")
         if fmt not in ("json", "tsv"):
             raise WebAppError(f"unknown format {fmt!r} (use 'json' or 'tsv')")
+        if catalog is not None and fmt == "tsv":
+            raise WebAppError("POST /map?catalog answers in JSON only")
         reads = payload.get("reads")
         fastq_text = None
         if reads is None:
@@ -362,135 +420,14 @@ class BWaveRApp:
                 raise WebAppError("provide 'reads' (list) or 'reads_fastq'")
         elif not (isinstance(reads, list) and all(isinstance(r, str) for r in reads)):
             raise WebAppError("'reads' must be a list of strings")
+        shards = None
+        if catalog and catalog != "all":
+            shards = [name for name in catalog.split(",") if name]
         try:
             if fastq_text is not None and fmt == "tsv":
                 return self._map_stream_tsv(service, fastq_text, tenant)
             if fastq_text is not None:
-                from ..io.fastq import read_fastq_str
-
                 reads = [r.sequence for r in read_fastq_str(fastq_text)]
-            req = service.map_request(reads, tenant=tenant)
-        except CoalescerFull as exc:
-            status, headers, resp = self._json(503, {"error": str(exc)})
-            headers.append(("Retry-After", "1"))
-            return status, headers, resp
-        except CoalescerClosed as exc:
-            return self._json(503, {"error": str(exc)})
-        results = req.result(timeout=0.0)
-        if fmt == "tsv":
-            import io as _io
-
-            from ..mapper.results import write_hits_tsv
-
-            buf = _io.StringIO()
-            write_hits_tsv(results, buf)
-            return (
-                "200 OK",
-                [("Content-Type", "text/tab-separated-values; charset=utf-8")],
-                buf.getvalue().encode(),
-            )
-        return self._json(
-            200,
-            {
-                "n_reads": len(results),
-                "n_mapped": sum(1 for r in results if r.mapped),
-                "tenant": tenant,
-                "degraded": req.degraded,
-                "batch_reads": req.batch_reads,
-                "wait_ms": req.wait_seconds * 1e3,
-                "results": [
-                    {
-                        "read": r.read_name,
-                        "length": r.length,
-                        "mapped": r.mapped,
-                        "fwd_count": r.forward.count,
-                        "rc_count": r.reverse.count,
-                        "reason": r.reason,
-                    }
-                    for r in results
-                ],
-            },
-        )
-
-    def _map_stream_tsv(
-        self, service, fastq_text: str, tenant: str
-    ) -> tuple[str, list, bytes]:
-        """Chunked ingest: FASTQ chunks feed the coalescer as independent
-        requests; TSV rows are emitted per returned batch."""
-        import io as _io
-
-        from ..io.fastq import parse_fastq_chunks
-        from ..mapper.stream import _write_rows, map_stream_coalesced
-
-        def _seqs():
-            for chunk in parse_fastq_chunks(_io.StringIO(fastq_text), 256):
-                for rec in chunk:
-                    yield rec.sequence
-
-        out = _io.StringIO()
-        out.write(
-            "read\tlength\tfwd_count\trc_count\tfwd_positions\trc_positions\n"
-        )
-        for results in map_stream_coalesced(
-            service.coalescer, _seqs(), chunk_size=256, tenant=tenant
-        ):
-            _write_rows(results, out)
-        return (
-            "200 OK",
-            [("Content-Type", "text/tab-separated-values; charset=utf-8")],
-            out.getvalue().encode(),
-        )
-
-    def _map_catalog(self, environ: dict, catalog_arg: str) -> tuple[str, list, bytes]:
-        """``POST /map?catalog=...``: scatter-gather across the shard
-        catalog, returning per-reference hits per read."""
-        from ..serving.router import UnknownShardError
-
-        service = self.router_service
-        if service is None:
-            return self._json(
-                404,
-                {
-                    "error": "no served catalog: start the server with "
-                    "--catalog to enable POST /map?catalog=..."
-                },
-            )
-        try:
-            length = int(environ.get("CONTENT_LENGTH") or 0)
-        except ValueError:
-            length = 0
-        if length > self.max_body_bytes:
-            return self._json(
-                413,
-                {
-                    "error": f"request body of {length} B exceeds the "
-                    f"{self.max_body_bytes} B limit"
-                },
-            )
-        body = environ["wsgi.input"].read(length) if length else b""
-        if not environ.get("CONTENT_TYPE", "").startswith("application/json"):
-            raise WebAppError("POST /map takes an application/json body")
-        try:
-            payload = json.loads(body.decode("utf-8"))
-        except json.JSONDecodeError as exc:
-            raise WebAppError(f"invalid JSON body: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise WebAppError("JSON body must be an object")
-        tenant = str(payload.get("tenant", "default"))
-        reads = payload.get("reads")
-        if reads is None:
-            fastq_text = _maybe_gunzip_b64(payload, "reads_fastq")
-            if fastq_text is None:
-                raise WebAppError("provide 'reads' (list) or 'reads_fastq'")
-            from ..io.fastq import read_fastq_str
-
-            reads = [r.sequence for r in read_fastq_str(fastq_text)]
-        elif not (isinstance(reads, list) and all(isinstance(r, str) for r in reads)):
-            raise WebAppError("'reads' must be a list of strings")
-        shards = None
-        if catalog_arg and catalog_arg != "all":
-            shards = [s for s in catalog_arg.split(",") if s]
-        try:
             req = service.map_request(reads, tenant=tenant, shards=shards)
         except UnknownShardError as exc:
             raise WebAppError(f"unknown shard {exc.args[0]!r}") from exc
@@ -500,60 +437,64 @@ class BWaveRApp:
             return status, headers, resp
         except CoalescerClosed as exc:
             return self._json(503, {"error": str(exc)})
-        mappings = req.result(timeout=0.0)
-        return self._json(
-            200,
-            {
-                "n_reads": len(mappings),
-                "n_mapped": sum(1 for m in mappings if m.mapped),
-                "tenant": tenant,
-                "shards": list(shards) if shards else list(service.router.catalog.names),
-                "degraded": req.degraded,
-                "batch_reads": req.batch_reads,
-                "wait_ms": req.wait_seconds * 1e3,
-                "results": [
-                    {
-                        "read": f"read{m.read_id}",
-                        "n_hits": len(m.hits),
-                        "hits": [
-                            {
-                                "ref": h.name,
-                                "position": h.position,
-                                "strand": h.strand,
-                            }
-                            for h in m.hits
-                        ],
-                    }
-                    for m in mappings
-                ],
-            },
+        results = req.result(timeout=0.0)
+        if fmt == "tsv":
+            from ..mapper.results import write_hits_tsv
+
+            buf = io.StringIO()
+            write_hits_tsv(results, buf)
+            return self._tsv(buf)
+        doc: dict = {
+            "n_reads": len(results),
+            "n_mapped": sum(1 for r in results if r.mapped),
+            "tenant": tenant,
+        }
+        row = _index_row
+        if catalog is not None:
+            doc["shards"] = shards or list(service.router.catalog.names)
+            row = _catalog_row
+        doc["degraded"] = req.degraded
+        doc["batch_reads"] = req.batch_reads
+        doc["wait_ms"] = req.wait_seconds * 1e3
+        doc["results"] = [row(r) for r in results]
+        return self._json(200, doc)
+
+    def _map_stream_tsv(
+        self, service, fastq_text: str, tenant: str
+    ) -> tuple[str, list, bytes]:
+        """Chunked ingest: FASTQ chunks feed the coalescer as independent
+        requests; TSV rows are emitted per returned batch."""
+        from ..io.fastq import parse_fastq_chunks
+        from ..mapper.results import TSV_HEADER, write_hits_tsv
+        from ..mapper.stream import map_stream_coalesced
+
+        def _seqs():
+            for chunk in parse_fastq_chunks(io.StringIO(fastq_text), 256):
+                for rec in chunk:
+                    yield rec.sequence
+
+        out = io.StringIO()
+        out.write(TSV_HEADER)
+        for results in map_stream_coalesced(
+            service.coalescer, _seqs(), chunk_size=256, tenant=tenant
+        ):
+            write_hits_tsv(results, out, header=False)
+        return self._tsv(out)
+
+    @staticmethod
+    def _tsv(buf: io.StringIO) -> tuple[str, list, bytes]:
+        return (
+            "200 OK",
+            [("Content-Type", "text/tab-separated-values; charset=utf-8")],
+            buf.getvalue().encode(),
         )
 
     def _submit(self, environ: dict) -> tuple[str, list, bytes]:
-        try:
-            length = int(environ.get("CONTENT_LENGTH") or 0)
-        except ValueError:
-            length = 0
-        if length > self.max_body_bytes:
-            # Reject before reading: an oversized declared body must not
-            # be buffered into host memory at all.
-            return self._json(
-                413,
-                {
-                    "error": f"request body of {length} B exceeds the "
-                    f"{self.max_body_bytes} B limit"
-                },
-            )
-        body = environ["wsgi.input"].read(length) if length else b""
+        body = self._read_body(environ)
         ctype = environ.get("CONTENT_TYPE", "")
         fault_plan = None
         if ctype.startswith("application/json"):
-            try:
-                payload = json.loads(body.decode("utf-8"))
-            except json.JSONDecodeError as exc:
-                raise WebAppError(f"invalid JSON body: {exc}") from exc
-            if not isinstance(payload, dict):
-                raise WebAppError("JSON body must be an object")
+            payload = _json_object(body)
             reference = _maybe_gunzip_b64(payload, "reference_fasta")
             reads = _maybe_gunzip_b64(payload, "reads_fastq")
             b = payload.get("b", 15)
@@ -658,22 +599,19 @@ def serve(
         # under the exact burst traffic the coalescer exists to absorb.
         request_queue_size = 128
 
+    config = CoalescerConfig(
+        window_seconds=coalesce_window_ms / 1e3,
+        max_batch_reads=coalesce_max_batch,
+    )
     mapping_service = None
     if map_index_fasta is not None:
         from ..index.builder import build_index
         from ..io.fasta import read_fasta
-        from ..serving.coalescer import CoalescerConfig, MappingService
 
         ref = read_fasta(map_index_fasta)[0]
         index, _report = build_index(ref.sequence)
         mapping_service = MappingService(
-            index,
-            pool_workers=map_pool_workers,
-            coalesce=coalesce,
-            config=CoalescerConfig(
-                window_seconds=coalesce_window_ms / 1e3,
-                max_batch_reads=coalesce_max_batch,
-            ),
+            index, pool_workers=map_pool_workers, coalesce=coalesce, config=config
         )
         print(
             f"serving index over {ref.name!r} ({len(ref.sequence)} bp) on "
@@ -683,13 +621,6 @@ def serve(
         )
     router_service = None
     if catalog_manifest is not None:
-        from ..serving.coalescer import CoalescerConfig
-        from ..serving.router import (
-            RouterMappingService,
-            ShardCatalog,
-            ShardRouter,
-        )
-
         budget = (
             int(shard_memory_budget_mb * 1024 * 1024)
             if shard_memory_budget_mb is not None
@@ -700,13 +631,8 @@ def serve(
             memory_budget_bytes=budget,
             pool_workers=shard_workers,
         )
-        router_service = RouterMappingService(
-            ShardRouter(catalog),
-            coalesce=coalesce,
-            config=CoalescerConfig(
-                window_seconds=coalesce_window_ms / 1e3,
-                max_batch_reads=coalesce_max_batch,
-            ),
+        router_service = MappingService(
+            ShardRouter(catalog), coalesce=coalesce, config=config
         )
         print(
             f"serving catalog of {len(catalog)} shard(s) "
@@ -721,13 +647,11 @@ def serve(
         mapping_service=mapping_service,
         router_service=router_service,
     )
-    with make_server(
-        host, port, app, server_class=_ThreadingWSGIServer
-    ) as httpd:
-        print(f"BWaveR web app listening on http://{host}:{port}/")
-        try:
+    try:
+        with make_server(
+            host, port, app, server_class=_ThreadingWSGIServer
+        ) as httpd:
+            print(f"BWaveR web app listening on http://{host}:{port}/")
             httpd.serve_forever()
-        finally:
-            app.jobs.shutdown()
-            if router_service is not None:
-                router_service.close()
+    finally:
+        app.close()

@@ -96,6 +96,19 @@ class TestCatchesSeedBugs:
         assert len(cx.inputs["reads"]) == 1
         assert "FAIL [mapper]" in cx.describe()
 
+    def test_coalescer_that_never_merges_is_found(self, monkeypatch):
+        from repro.serving.coalescer import RequestCoalescer
+
+        def one_batch_per_request(self, request_lists, tenant="default"):
+            # Correct results, but every non-empty request runs alone.
+            self._batches_total += sum(1 for reads in request_lists if reads)
+            return [self.dispatch(list(reads)) for reads in request_lists]
+
+        monkeypatch.setattr(RequestCoalescer, "map_many", one_batch_per_request)
+        report = SelfCheck(seed=0, profile="quick", checks=["coalesce"]).run(3)
+        assert not report.ok
+        assert "never merged" in report.failures[0].actual
+
     def test_failures_capped_per_check(self, monkeypatch):
         _reintroduce_empty_pattern_bug(monkeypatch)
         report = SelfCheck(seed=0, profile="quick", checks=["fm"]).run(4)

@@ -352,6 +352,30 @@ class TestRouterMappingService:
             finally:
                 service.coalescer.close()
 
+    def test_bypass_keeps_the_fallback_rung(self, flat_dir):
+        from repro.serving.coalescer import MappingService
+
+        with build_catalog(flat_dir) as catalog:
+            router = ShardRouter(catalog)
+            want = router.map_reads(corpus())
+            real, calls = router.map_reads, []
+
+            def fails_once(reads, shards=None):
+                calls.append(len(reads))
+                if len(calls) == 1:
+                    raise RouterError("shard pool died")
+                return real(reads, shards=shards)
+
+            router.map_reads = fails_once
+            service = MappingService(router, coalesce=False)
+            try:
+                req = service.map_request(corpus())
+                assert req.degraded
+                assert req.result(timeout=0.0) == want
+                assert calls == [len(corpus())] * 2
+            finally:
+                service.coalescer.close()
+
     def test_stats_compose_router_and_coalescer(self, flat_dir):
         with build_catalog(flat_dir) as catalog:
             service = RouterMappingService(ShardRouter(catalog))
